@@ -671,6 +671,11 @@ def run_unified(smoke: bool, index: str, repeats: int) -> dict:
             for _ in range(repeats):
                 totals: dict[str, float] = {}
                 for label, options in plans:
+                    # re-warm right before the timed run: a cell timed
+                    # just after another plan's run pays that run's cache
+                    # pollution, a position bias that outgrows the gate's
+                    # 5% once a cell takes only ~100 microseconds
+                    join(job.query, job.relations, **options)
                     result = join(job.query, job.relations, **options)
                     metrics = result.metrics
                     totals[label] = metrics.total_seconds

@@ -15,6 +15,8 @@ dependence), which the test-suite and benchmark harness rely on.
 
 from __future__ import annotations
 
+import struct
+
 MASK64 = 0xFFFFFFFFFFFFFFFF
 
 _C1 = 0x87C37B91114253D5
@@ -99,7 +101,7 @@ def murmur3_bytes(data: bytes, seed: int = 0) -> int:
 
 
 def hash_key(key: object, seed: int = 0) -> int:
-    """Hash a single key (int or str/bytes) to a 64-bit word.
+    """Hash a single key (int, float or str/bytes) to a 64-bit word.
 
     Integers go through :func:`fmix64` (with the seed mixed in); strings and
     byte strings go through the full Murmur3 core.  This is the one hash
@@ -108,6 +110,12 @@ def hash_key(key: object, seed: int = 0) -> int:
     """
     if isinstance(key, bool):  # bool is an int subclass; normalize first
         key = int(key)
+    if isinstance(key, float):
+        # equal keys must hash equal: an integral float joins its int
+        if key.is_integer():
+            key = int(key)
+        else:
+            return murmur3_bytes(struct.pack("<d", key), seed)
     if isinstance(key, int):
         return fmix64((key ^ (seed * 0x9E3779B97F4A7C15)) & MASK64)
     if isinstance(key, str):

@@ -13,7 +13,7 @@ tells the Fig 1 story (binary joins exploding, WCOJ not).
 from __future__ import annotations
 
 import time
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 
 
@@ -30,6 +30,12 @@ class ResultSink:
         for value in values:
             # each emitted result IS a fresh tuple; counting sinks override
             self.emit(prefix + (value,))  # repro: noqa[RA501]
+
+    def emit_rows(self, rows: Iterable[tuple]) -> None:
+        """Emit a batch of result tuples — the binary pipeline's
+        per-batch path."""
+        for row in rows:
+            self.emit(row)
 
     @property
     def count(self) -> int:
@@ -61,6 +67,9 @@ class MaterializingSink(ResultSink):
 
     def emit(self, row: tuple) -> None:
         self.rows.append(row)
+
+    def emit_rows(self, rows: Iterable[tuple]) -> None:
+        self.rows.extend(rows)
 
     @property
     def count(self) -> int:

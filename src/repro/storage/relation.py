@@ -34,17 +34,26 @@ from repro.storage.schema import Schema
 
 
 def _column_array(values: list) -> np.ndarray:
-    """Column values as ``int64`` when every value fits, else ``object``.
+    """Column values as ``int64`` when every value is an integer that fits,
+    else ``object``.
 
-    The object fallback is built element-wise — ``np.asarray`` on a mixed
-    list would stringify or broadcast instead of holding the values.
+    Lossless: ``int64`` only when every value round-trips exactly, so the
+    check is on the values' types — ``np.asarray(..., dtype=np.int64)``
+    alone would truncate ``2.5``, parse ``"007"`` and promote ``True``.
+    Floats, strings, bools and mixed columns keep their values in an
+    ``object`` array.  The object fallback is built element-wise —
+    ``np.asarray`` on a mixed list would stringify or broadcast instead
+    of holding the values.
     """
-    try:
-        return np.asarray(values, dtype=np.int64)
-    except (TypeError, ValueError, OverflowError):
-        array = np.empty(len(values), dtype=object)
-        array[:] = values
-        return array
+    if all(kind is int or issubclass(kind, np.signedinteger)
+           for kind in set(map(type, values))):
+        try:
+            return np.asarray(values, dtype=np.int64)
+        except OverflowError:
+            pass
+    array = np.empty(len(values), dtype=object)
+    array[:] = values
+    return array
 
 
 class Relation:
@@ -128,7 +137,8 @@ class Relation:
     def column_array(self, attribute: str) -> np.ndarray:
         """``attribute``'s values as a numpy array, in row order.
 
-        ``int64`` when every value fits, ``object`` dtype otherwise.  The
+        ``int64`` when every value is an integer that fits, ``object``
+        dtype otherwise (floats, strings, bools, mixed columns).  The
         array is materialized once per position and cached; renamed views
         share the cache (attribute names differ, positions do not), so the
         batch join engine, the workload generators and the statistics

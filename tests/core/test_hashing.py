@@ -65,7 +65,16 @@ class TestHashKey:
 
     def test_unhashable_type_raises(self):
         with pytest.raises(TypeError):
-            hash_key(3.14)
+            hash_key(None)
+        with pytest.raises(TypeError):
+            hash_key((1, 2))
+
+    def test_float_hashes_like_an_equal_int(self):
+        # lossless columns keep floats; equal join values must hash equal
+        assert hash_key(2.0) == hash_key(2)
+        assert hash_key(-7.0, seed=3) == hash_key(-7, seed=3)
+        assert hash_key(2.5) != hash_key(2)
+        assert hash_key(2.5) == hash_key(2.5)
 
     def test_distribution_over_buckets(self):
         # hashed keys modulo a bucket count should spread evenly

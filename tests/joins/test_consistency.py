@@ -5,6 +5,7 @@ result set on the same query — including property-based random inputs.
 """
 
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 
 from repro import join, parse_query
 from repro.indexes import prefix_capable_indexes
+from repro.joins.executor import ALGORITHMS as ALL_ALGORITHMS
 from repro.storage import Relation
 
 ALGORITHMS = ("generic", "binary", "hashtrie", "leapfrog")
@@ -70,6 +72,35 @@ class TestIndexesAgreeUnderGenericJoin:
         counts = {name: join(query, source, index=name).count
                   for name in prefix_capable_indexes()}
         assert len(set(counts.values())) == 1, counts
+
+
+#: join-key columns a plain ``int64`` cast would corrupt: ``2.5`` truncates
+#: to 2, ``"007"`` and ``"7"`` both parse to 7, ``True`` promotes to 1
+LOSSY_KEYS = {
+    "float": ([(1, 2.5), (2, 2)], [(2, 9)]),
+    "digit_strings": ([(1, "007"), (2, "7")], [("007", 9), ("7", 8)]),
+    "bool": ([(1, True), (2, 2)], [(1, 9), (2, 3)]),
+}
+
+
+class TestLosslessKeys:
+    """Every algorithm x engine joins on the stored values themselves,
+    with Python equality (``True == 1``), never on an int64 coercion."""
+
+    @pytest.mark.parametrize("case", sorted(LOSSY_KEYS))
+    @pytest.mark.parametrize("engine", ["tuple", "batch"])
+    @pytest.mark.parametrize("algorithm", ALL_ALGORITHMS)
+    def test_mixed_type_keys(self, algorithm, engine, case):
+        m_rows, n_rows = LOSSY_KEYS[case]
+        source = {"M": Relation("M", ("a", "b"), m_rows),
+                  "N": Relation("N", ("b", "c"), n_rows)}
+        truth = Counter((a, b, c) for a, b in m_rows
+                        for b2, c in n_rows if b == b2)
+        result = join("M(a,b), N(b,c)", source, algorithm=algorithm,
+                      engine=engine, materialize=True)
+        positions = [result.attributes.index(a) for a in ("a", "b", "c")]
+        rows = Counter(tuple(row[p] for p in positions) for row in result.rows)
+        assert rows == truth
 
 
 @settings(max_examples=20, deadline=None)

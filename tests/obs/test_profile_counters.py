@@ -55,6 +55,22 @@ def truth(edges):
     }
 
 
+def pipeline_partials(edges, order):
+    """Bag partial results of a left-deep pipeline over ``order``: entry
+    ``i`` lists the bindings after joining the first ``i + 1`` atoms."""
+    rows = [tuple(row) for row in edges]
+    attrs = {atom.alias: atom.attributes for atom in QUERY.atoms}
+    partial = [[dict(zip(attrs[order[0]], row)) for row in rows]]
+    for alias in order[1:]:
+        partial.append([
+            {**binding, **dict(zip(attrs[alias], row))}
+            for binding in partial[-1]
+            for row in rows
+            if all(binding.get(a, v) == v for a, v in zip(attrs[alias], row))
+        ])
+    return partial
+
+
 def profiled(edges, **options):
     result = join(QUERY, {"E1": edges, "E2": edges, "E3": edges},
                   profile=True, **options)
@@ -90,7 +106,30 @@ class TestGroundTruth:
     def test_binary_final_stage_matches_truth(self, edges, truth):
         result = profiled(edges, algorithm="binary")
         assert result.count == truth["count"]
-        assert result.profile.levels[-1].survivors == truth["count"]
+        levels = result.profile.levels
+        assert levels[-1].survivors == truth["count"]
+        # every stage against a nested-loop replay of the same atom order:
+        # a stage's candidates are the partial tuples probing it, its
+        # survivors the (bag) join of the atoms so far
+        order = [level.label for level in levels]
+        assert sorted(order) == ["E1", "E2", "E3"]
+        partial = pipeline_partials(edges, order)
+        scanned = len(partial[0])
+        assert (levels[0].candidates, levels[0].survivors) == (scanned, scanned)
+        assert levels[0].seed_counts == {order[0]: 1}
+        for depth in range(1, len(order)):
+            level = levels[depth]
+            probes = len(partial[depth - 1])
+            assert level.candidates == probes, level.label
+            assert level.survivors == len(partial[depth]), level.label
+            assert level.seed_counts == {order[depth]: probes}
+        # time is inclusive: a stage includes the stages after it
+        cumulative = [level.cumulative_seconds for level in levels]
+        assert cumulative == sorted(cumulative, reverse=True)
+        assert result.metrics.lookups == sum(
+            len(rows) for rows in partial[:-1])
+        assert result.metrics.intermediate_tuples == sum(
+            len(rows) for rows in partial[1:])
 
 
 class TestEngineConsistency:

@@ -2,6 +2,7 @@
 
 import random
 
+import numpy as np
 import pytest
 
 from repro.errors import SchemaError
@@ -82,3 +83,39 @@ class TestOperations:
     def test_sample_empty(self):
         relation = Relation("R", ("a",), [])
         assert relation.sample_rows(5, random.Random(1)) == []
+
+
+class TestLosslessColumns:
+    """``column_array`` is ``int64`` only when every value round-trips."""
+
+    def test_all_int_column_stays_int64(self):
+        relation = Relation("R", ("a",), [(3,), (-(2 ** 63),), (2 ** 63 - 1,)])
+        column = relation.column_array("a")
+        assert column.dtype == np.int64
+        assert column.tolist() == [3, -(2 ** 63), 2 ** 63 - 1]
+        assert relation.column_dtype_class("a") == "int64"
+
+    def test_numpy_integers_stay_int64(self):
+        relation = Relation("R", ("a",), [(np.int64(4),), (np.int32(5),), (6,)])
+        assert relation.column_array("a").dtype == np.int64
+
+    @pytest.mark.parametrize("values", [
+        [1, 2.5],            # truncated to 2 by a plain int64 cast
+        [2.0, 3.0],          # integral floats keep their type too
+        ["007", 7],          # parsed to 7 by a plain int64 cast
+        ["007"],
+        [True, 2],           # promoted to 1 by a plain int64 cast
+        [False],
+        [2 ** 63],           # does not fit
+        [1, None],
+    ])
+    def test_lossy_values_fall_back_to_object(self, values):
+        relation = Relation("R", ("a",), [(v,) for v in values])
+        column = relation.column_array("a")
+        assert column.dtype == object
+        assert relation.column_dtype_class("a") == "object"
+        assert [type(v) for v in column.tolist()] == [type(v) for v in values]
+        assert column.tolist() == values
+
+    def test_empty_column_is_int64(self):
+        assert Relation("R", ("a",), []).column_array("a").dtype == np.int64
