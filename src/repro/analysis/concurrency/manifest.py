@@ -72,6 +72,9 @@ ENTRY_TABLE: "tuple[tuple, ...]" = (
     ("Tracer", ("add_span",), "src/repro/obs/trace.py", "shared", True),
     (None, ("bind", "plan", "prepare"), "src/repro/engine/pipeline.py",
      "shared", True),
+    ("RelationStorage", ("column", "array", "snapshot", "dtype_class",
+                         "distinct_count", "append"),
+     "src/repro/storage/relation.py", "shared", True),
     (None, ("join",), "src/repro/joins/executor.py", "per-call", True),
     ("GenericJoin", ("run",), "src/repro/joins/generic_join.py",
      "per-call", True),

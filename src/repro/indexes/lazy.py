@@ -21,7 +21,7 @@ twice an eager build, while the headline case — a join that only ever
 exercises a prefix of the attribute order — pays for that prefix only.
 
 **Snapshot pinning.**  The adapter snapshots the relation's column
-arrays at construction time under a version-stable retry loop.  All
+arrays (one version, :meth:`Relation.columns`) at construction.  All
 levels — whenever they materialize — are built from that one snapshot,
 so a concurrent ``relation.extend()`` can never produce a trie whose
 levels mix old and new rows: readers either see the pinned pre-extend
@@ -143,15 +143,9 @@ class LazyTrieAdapter:
             raise ValueError(
                 f"index kind {kind!r} has no level-at-a-time build; "
                 f"lazy adapters support {LAZY_CAPABLE_KINDS}")
-        # version-stable column snapshot: Relation.columns() fills its
-        # per-position cache lazily, so a concurrent extend() between two
-        # column materializations could hand us mismatched lengths — the
-        # version check detects the race and retries
-        while True:
-            version = relation.version
-            columns = relation.columns()
-            if relation.version == version:
-                break
+        # Relation.columns() is one version's snapshot, so a concurrent
+        # extend() cannot hand us mismatched lengths
+        columns = relation.columns()
         self._columns = tuple(columns[p] for p in permutation)
         self.arity = len(self._columns)
         #: snapshot cardinality (root-level advisory count, no build)

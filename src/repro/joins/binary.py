@@ -136,7 +136,9 @@ def build_stage_table(relation: Relation, key_positions: Sequence[int],
     """
     columns = relation.columns()
     keyed = [columns[p] for p in key_positions]
-    size = len(relation)
+    # the snapshot's length, not len(relation): a concurrent extend may
+    # have grown the rows since the columns were taken
+    size = len(columns[0])
     keys = index = None
     if len(keyed) == 1 and keyed[0].dtype == np.int64:
         order = np.argsort(keyed[0], kind="stable")

@@ -10,10 +10,11 @@ deterministic sequence regardless of worker finishing order.
 The start method comes from ``REPRO_MP_START`` when set, else ``fork``
 where available (cheap on Linux — workers inherit the imported engine)
 with ``spawn`` as the portable fallback.  Workers are daemons: an
-abandoned pool cannot outlive its parent.  A worker death or task
-timeout surfaces as :class:`~repro.errors.ExecutionError` carrying the
-worker-side traceback when there is one — plus the parent's
-flight-recorder tail (``exc.flight_log``), so the dispatch/collect
+abandoned pool cannot outlive its parent.  A worker death, task
+timeout or task failure surfaces as :class:`~repro.errors.ExecutionError`
+carrying the worker-side traceback when there is one (a task that
+raised a :mod:`repro.errors` exception keeps that type as well) — plus
+the parent's flight-recorder tail (``exc.flight_log``), so the dispatch/collect
 history leading up to the failure travels with the report.
 
 Every collected result is stamped with the parent-clock receive time
@@ -23,23 +24,44 @@ calibration :mod:`repro.obs.distributed` runs per task round trip.
 
 from __future__ import annotations
 
+import functools
 import multiprocessing as mp
 
+from repro import errors
 from repro.core.envflag import env_int, env_str
 from repro.errors import ConfigurationError, ExecutionError
 from repro.obs.flightrec import FLIGHT_RECORDER
 from repro.parallel.worker import worker_main
 
 
-def _execution_error(message: str, **fields) -> ExecutionError:
+@functools.lru_cache(maxsize=None)
+def _shard_error_class(name: "str | None") -> "type[ExecutionError]":
+    """:class:`ExecutionError` mixed with the worker's own error class.
+
+    ``name`` is the class name of the :mod:`repro.errors` exception a
+    shard raised.  The parent raises an instance of both classes, so
+    ``except ConfigurationError`` catches what it would catch in-process
+    while ``except ExecutionError`` still catches every shard failure.
+    """
+    original = getattr(errors, name, None) if name else None
+    if (original is None or issubclass(ExecutionError, original)
+            or issubclass(original, ExecutionError)):
+        return ExecutionError
+    return type(name, (original, ExecutionError), {"__module__": __name__})
+
+
+def _execution_error(message: str, error_type: "str | None" = None,
+                     **fields) -> ExecutionError:
     """An :class:`ExecutionError` carrying the flight-recorder tail.
 
     The failure itself is recorded first, so the dump's last line names
     what went wrong; the full tail rides on ``exc.flight_log`` for
-    post-mortem reading without bloating ``str(exc)``.
+    post-mortem reading without bloating ``str(exc)``.  ``error_type``
+    names a worker-side :mod:`repro.errors` class the error also
+    becomes an instance of.
     """
     FLIGHT_RECORDER.record("pool.error", message.splitlines()[0], **fields)
-    exc = ExecutionError(message)
+    exc = _shard_error_class(error_type)(message)
     exc.flight_log = FLIGHT_RECORDER.dump_text()
     return exc
 
@@ -139,7 +161,8 @@ class WorkerPool:
             detail = first.get("traceback") or first.get("error", "unknown")
             raise _execution_error(
                 f"shard {first.get('shard')} failed in worker process:\n"
-                f"{detail}", shard=first.get("shard"))
+                f"{detail}", error_type=first.get("error_type"),
+                shard=first.get("shard"))
         return results  # type: ignore[return-value]
 
     def _collect(self, worker_id: int, timeout: float) -> dict:

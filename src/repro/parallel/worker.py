@@ -26,14 +26,13 @@ parent's index cache does.
 from __future__ import annotations
 
 import os
-import threading
 import traceback
 from collections import OrderedDict
 
 import numpy as np
 
 from repro.parallel.shm import ColumnHandle, attach_array
-from repro.storage.relation import Relation
+from repro.storage.relation import Relation, RelationStorage
 from repro.storage.schema import Schema
 
 #: prepared-state entries one worker keeps alive (per process, LRU)
@@ -43,7 +42,7 @@ STATE_CACHE_ENTRIES = 8
 class _ColumnRows:
     """Lazy read-only row view over attached column arrays.
 
-    Fills the ``Relation._rows`` slot of a worker-side relation: the
+    Serves as the row list of a worker-side relation's storage: the
     drivers only iterate, measure and (rarely) membership-test rows,
     so tuples are materialized on demand from the columns instead of
     being shipped across the process boundary.
@@ -94,18 +93,11 @@ def relation_from_handles(name: str, attributes: "tuple[str, ...]",
         if shm is not None:
             attachments.append(shm)
     length = handles[0].length if handles else 0
-    relation = Relation.__new__(Relation)
-    relation.name = name
-    relation.schema = Schema(attributes)
-    relation._mutlock = threading.Lock()
-    relation._rows = _ColumnRows(tuple(arrays), length)
-    relation._columns = {}
-    relation._arrays = {i: array for i, array in enumerate(arrays)}
-    relation._dtype_classes = {
-        i: ("int64" if array.dtype == np.int64 else "object")
-        for i, array in enumerate(arrays)
-    }
-    relation._version = [0]
+    # the attached arrays seed the storage's array cache; every other
+    # cache (distinct values included) fills lazily, as in the parent
+    storage = RelationStorage(_ColumnRows(tuple(arrays), length),
+                              arrays=dict(enumerate(arrays)))
+    relation = Relation.from_storage(name, Schema(attributes), storage)
     return relation, attachments
 
 
@@ -248,7 +240,8 @@ def worker_main(conn) -> None:
 
     Receives ``("run", task)`` messages on ``conn``, answers with
     result dicts, and exits on ``("shutdown", None)`` or a closed pipe.
-    A failing task is reported (with its traceback) instead of killing
+    A failing task is reported (with its traceback and, for a
+    :mod:`repro.errors` exception, its class name) instead of killing
     the worker; only the connection itself failing ends the loop.
     """
     state_cache: OrderedDict = OrderedDict()
@@ -268,6 +261,11 @@ def worker_main(conn) -> None:
                     "ok": False,
                     "shard": task.get("shard"),
                     "error": f"{type(exc).__name__}: {exc}",
+                    # the class name travels so the parent can re-raise
+                    # the library's own error type (repro.errors only)
+                    "error_type": (type(exc).__name__
+                                   if type(exc).__module__ == "repro.errors"
+                                   else None),
                     "traceback": traceback.format_exc(),
                 }
             conn.send(response)

@@ -20,8 +20,6 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Mapping
 
-import numpy as np
-
 from repro.storage.relation import Relation
 
 
@@ -33,36 +31,22 @@ class Statistics:
         self._distinct: dict[str, dict[str, int]] = {}
 
     @classmethod
-    def collect(cls, relations: Iterable[Relation],
-                aliases: Mapping[str, str] | None = None) -> "Statistics":
-        """Scan ``relations`` once; ``aliases`` maps alias → relation name.
+    def collect(cls, relations: Iterable[Relation]) -> "Statistics":
+        """Statistics of ``relations``, registered under their names.
 
-        When an alias map is given, statistics are registered per alias so
-        self-joins can reference the same physical relation several times.
+        Distinct counts come from each relation's per-version cache
+        (:meth:`Relation.distinct_count`), so collecting over unchanged
+        relations scans no column data.
         """
         stats = cls()
-        by_name = {}
         for relation in relations:
-            by_name[relation.name] = relation
             stats.register(relation.name, relation)
-        if aliases:
-            for alias, name in aliases.items():
-                if alias not in stats._cardinality:
-                    stats.register(alias, by_name[name])
         return stats
 
     def register(self, key: str, relation: Relation) -> None:
         self._cardinality[key] = len(relation)
-        distinct = {}
-        for attribute in relation.schema:
-            column = relation.column_array(attribute)
-            if column.dtype == object:
-                # object columns may hold mutually-incomparable values,
-                # which np.unique's sort cannot handle
-                distinct[attribute] = len(set(column.tolist()))
-            else:
-                distinct[attribute] = int(np.unique(column).size)
-        self._distinct[key] = distinct
+        self._distinct[key] = {attribute: relation.distinct_count(attribute)
+                               for attribute in relation.schema}
 
     def cardinality(self, key: str) -> int:
         return self._cardinality[key]

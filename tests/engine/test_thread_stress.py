@@ -17,6 +17,7 @@ single-threaded ground truth, and the cache counters must stay coherent:
 
 from __future__ import annotations
 
+import sys
 import threading
 
 import pytest
@@ -229,3 +230,54 @@ class TestConcurrentInvalidation:
         assert edges.fingerprint()[1] == before + THREADS * per_thread
         assert len(edges.rows) == len(make_edges().rows) \
             + THREADS * per_thread
+
+
+class TestStatisticsUnderAppends:
+    def test_plans_on_views_while_a_writer_extends(self):
+        # readers plan(algorithm="auto") through renamed views, filling
+        # and reading the shared distinct-value and array caches, while
+        # a writer grows both columns (and late on turns the second one
+        # object); afterwards every cache must equal a fresh recompute
+        from repro.engine import bind, plan
+
+        edges = make_edges()
+        views = [edges.renamed(("x", "y"), name="E")
+                 for _ in range(THREADS - 1)]
+        writes = 40
+        stop = threading.Event()
+
+        def writer():
+            for step in range(writes):
+                second = 0.5 if step >= 3 * writes // 4 else step % 9
+                edges.extend([(100 + step, second), (step % 5, step)])
+
+        def reader(view):
+            while not stop.is_set():
+                plan(bind(TRIANGLE, {"E": view}), algorithm="auto")
+                columns = view.columns()
+                assert len(columns[0]) == len(columns[1])
+
+        def worker(tid):
+            if tid == 0:
+                try:
+                    writer()
+                finally:
+                    stop.set()
+            else:
+                reader(views[tid - 1])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # switch threads often mid-append
+        try:
+            run_threads(worker)
+        finally:
+            sys.setswitchinterval(interval)
+        fresh = Relation("E", ("src", "dst"), list(edges.rows))
+        for view in (edges, *views):
+            for attribute, name in zip(view.schema, fresh.schema):
+                column = view.column_array(attribute)
+                expected = fresh.column_array(name)
+                assert column.dtype == expected.dtype
+                assert column.tolist() == expected.tolist()
+                assert (view.distinct_count(attribute)
+                        == fresh.distinct_count(name))

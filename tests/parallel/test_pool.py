@@ -1,16 +1,21 @@
 """Worker-pool and failure-path tests.
 
 A worker that raises must surface as :class:`~repro.errors.ExecutionError`
-carrying the worker-side traceback; a dead worker must not hang the
-parent; bad configuration fails fast at plan time, not in a child
+carrying the worker-side traceback, and as the worker's own
+:mod:`repro.errors` class when it raised one; a dead worker must not
+hang the parent; bad configuration fails fast at plan time, not in a child
 process.
 """
+
+import gc
+import glob
 
 import pytest
 
 from repro.errors import ConfigurationError, ExecutionError
 from repro.joins import join
 from repro.parallel import WorkerPool, resolve_workers, start_method
+from repro.parallel.shm import SEGMENT_PREFIX
 from repro.planner.query import parse_query
 from repro.storage.relation import Relation
 
@@ -73,6 +78,25 @@ def test_worker_task_error_propagates_with_traceback():
         with pytest.raises(ExecutionError) as excinfo:
             pool.run([bad_task])
     assert "E1" in str(excinfo.value)
+
+
+def test_library_error_keeps_its_type_across_the_worker_boundary():
+    # a unary atom cannot be indexed by Sonic: the in-process run and
+    # the sharded run must raise the same class, and the sharded run
+    # must still release every shared-memory segment it exported
+    relations = {"U": Relation("U", ("x",), [(1,), (2,)]),
+                 "R": Relation("R", ("x", "y"), [(1, 2), (2, 3)])}
+    with pytest.raises(ConfigurationError):
+        join("U(a), R(a,b)", relations, index="sonic")
+    before = set(glob.glob(f"/dev/shm/{SEGMENT_PREFIX}*"))
+    with pytest.raises(ConfigurationError) as excinfo:
+        join("U(a), R(a,b)", relations, index="sonic", parallel=2)
+    assert isinstance(excinfo.value, ExecutionError)
+    assert "failed in worker process" in str(excinfo.value)
+    assert "Traceback" in str(excinfo.value)
+    assert "pool.error" in excinfo.value.flight_log
+    gc.collect()
+    assert set(glob.glob(f"/dev/shm/{SEGMENT_PREFIX}*")) - before == set()
 
 
 def test_dead_worker_raises_not_hangs():
