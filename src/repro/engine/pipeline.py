@@ -619,10 +619,37 @@ def _structure_spec(relation: Relation, alias: str, kind: str,
             f"total order {list(total)} does not cover attributes "
             f"{sorted(missing)} of relation {relation.name!r}"
         )
+    if kind in ORDERED_KINDS:
+        _check_orderable(relation, alias, kind)
     return IndexSpec(alias=alias, kind=kind, attribute_order=attribute_order,
                      permutation=relation.schema.permutation_to(
                          attribute_order),
                      options=canonical_options(options), lazy=lazy)
+
+
+#: index kinds that keep their tuples sorted (leapfrog runs on
+#: ``sortedtrie``): each column they hold needs one order over its values
+ORDERED_KINDS = frozenset({"sortedtrie", "btree"})
+
+
+def _check_orderable(relation: Relation, alias: str, kind: str) -> None:
+    """Reject a column whose values have no common order (``7`` beside
+    ``"007"``) before a sorted structure fails on it mid-build."""
+    for attribute, verdict in zip(relation.schema.attributes,
+                                  relation.dtype_classes()):
+        if verdict == "int64":
+            continue
+        values = set(relation.column(attribute))
+        try:
+            sorted(values)
+        except TypeError:
+            kinds = sorted({type(value).__name__ for value in values})
+            raise SchemaError(
+                f"column {attribute!r} of relation {relation.name!r} (atom "
+                f"{alias!r}) mixes {kinds} values with no common order; "
+                f"{kind!r} structures keep their tuples sorted, so use a "
+                f"hash-based index (sonic, hashtrie) or algorithm='binary'"
+            ) from None
 
 
 def _validate_index_kwargs(requested: str, resolved: str, index: str,

@@ -24,6 +24,7 @@ names to positions is the adapter's job, not the index's.
 from __future__ import annotations
 
 import abc
+import numbers
 from collections.abc import Iterable, Iterator, Sequence
 from typing import ClassVar
 
@@ -37,24 +38,32 @@ EMPTY_VALUES: np.ndarray = np.empty(0, dtype=np.int64)
 
 
 def value_array(values: "Sequence | np.ndarray") -> np.ndarray:
-    """A 1-d array over join values: int64 when possible, else object.
+    """A 1-d array over join values, lossless: int64 when every value is
+    an integer that fits, str when every value is a string, else object.
 
-    Join keys are ints in every generator in this repository and strings in
-    the var-len experiments; a column never mixes the two.  ``np.asarray``
-    would silently stringify ints if it ever saw a mix, so any non-numeric
-    result that is not genuinely string data falls back to an object array
-    (python comparison semantics, exactly what sorted containers use).
+    ``np.asarray`` alone would widen ``2**63`` beside a small int to
+    float64, stringify ``1`` beside ``"a"`` and turn ``True`` into ``1``;
+    the object fallback keeps every value as stored (Python equality
+    and hashing semantics, as the relations' own columns).
     """
     if isinstance(values, np.ndarray):
         return values
     seq = values if isinstance(values, (list, tuple)) else list(values)
     if not seq:
         return EMPTY_VALUES
-    arr = np.asarray(seq)
-    if arr.ndim != 1 or (arr.dtype.kind not in "iufb" and not isinstance(seq[0], str)):
-        arr = np.empty(len(seq), dtype=object)
-        arr[:] = seq
-    return arr
+    kinds = set(map(type, seq))
+    if len(kinds) == 1:
+        kind = kinds.pop()
+        if kind is int or issubclass(kind, np.signedinteger):
+            try:
+                return np.asarray(seq, dtype=np.int64)
+            except OverflowError:
+                pass
+        elif kind is str:
+            return np.asarray(seq)
+    array = np.empty(len(seq), dtype=object)
+    array[:] = seq
+    return array
 
 
 def bulk_columns(arity: int, columns: "Sequence") -> list[np.ndarray]:
@@ -112,15 +121,34 @@ def sorted_unique_rows(arrays: "Sequence[np.ndarray]") -> "list[tuple] | None":
         return None
 
 
+def order_key(value) -> tuple:
+    """Sort key giving join values of mixed types one total order: type
+    rank (numbers, then strings, then anything else by type name), then
+    value."""
+    if isinstance(value, numbers.Real):
+        return (0, value)
+    if isinstance(value, str):
+        return (1, value)
+    return (2, type(value).__name__, repr(value))
+
+
 def sorted_value_array(values: "Iterable") -> np.ndarray:
     """``values`` (assumed distinct) as a sorted array.
 
     The candidate-array constructor shared by the batch kernels; callers
-    are responsible for deduplication (child walks never yield duplicates).
+    are responsible for deduplication (child walks never yield
+    duplicates).  Values with no common order (``7`` beside ``"007"``)
+    sort by :func:`order_key` into an object array, which the probe
+    kernels test by hashing.
     """
-    if isinstance(values, np.ndarray):
+    if isinstance(values, np.ndarray) and values.dtype != object:
         return np.sort(values)
-    return value_array(sorted(values))
+    values = list(values)
+    try:
+        values.sort()
+    except TypeError:
+        values.sort(key=order_key)
+    return value_array(values)
 
 
 def membership_mask(sorted_children: np.ndarray,
@@ -132,7 +160,8 @@ def membership_mask(sorted_children: np.ndarray,
     """
     if sorted_children.size == 0 or values.size == 0:
         return np.zeros(values.size, dtype=bool)
-    if sorted_children.dtype.kind != values.dtype.kind:
+    if (sorted_children.dtype.kind != values.dtype.kind
+            or values.dtype == object):
         # e.g. int64 children probed with an object-dtype vector: binary
         # search would need an ordering across the mixed types, so test
         # membership under python hashing semantics instead

@@ -12,8 +12,10 @@ and the index cursors, and finally folds it into a
 or :data:`NULL_OBSERVER` and branch exactly once per run on
 ``obs.enabled``; the un-profiled probe recursion contains *no*
 observability code at all (the instrumented twin of each ``_join_level``
-only exists on the enabled branch).  That is what keeps the measured
-overhead of carrying this subsystem at noise level — see the
+only exists on the enabled branch).  Window-at-a-time loops (the
+binary pipeline, the batch Generic Join) count into local ints on every
+run and hand the counts over only when enabled.  That is what keeps the
+measured overhead of carrying this subsystem at noise level — see the
 ``obs_overhead`` section of ``BENCH_generic_join.json`` and lint rule
 RA601, which guards the discipline statically.
 

@@ -121,3 +121,22 @@ def test_auto_engine_picks_batch_only_with_native_kernels():
     fallback = join(TRIANGLE, relations, index="btree", engine="auto")
     assert fallback.metrics.algorithm == "generic_join"
     assert batch.count == fallback.count
+
+
+@pytest.mark.parametrize("index", INDEXES)
+def test_profiled_and_plain_runs_take_one_path(index):
+    """``profile=True`` only hands the run's counts to the observer: the
+    bowtie's rows, lookups and intermediates are those of a plain run."""
+    relations = self_join_relations(BOWTIE, random_edges(300, 40, seed=4))
+    runs = [join(BOWTIE, relations, index=index, engine="batch",
+                 materialize=True, profile=profile)
+            for profile in (False, True)]
+    plain, profiled = runs
+    assert plain.profile is None and profiled.profile is not None
+    assert profiled.rows == plain.rows
+    assert (profiled.metrics.lookups, profiled.metrics.intermediate_tuples) \
+        == (plain.metrics.lookups, plain.metrics.intermediate_tuples)
+    levels = profiled.profile.levels
+    assert sum(level.survivors for level in levels) \
+        == plain.metrics.intermediate_tuples
+    assert levels[-1].survivors == plain.count > 0

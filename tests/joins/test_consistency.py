@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import join, parse_query
+from repro.errors import SchemaError
 from repro.indexes import prefix_capable_indexes
 from repro.joins.executor import ALGORITHMS as ALL_ALGORITHMS
 from repro.storage import Relation
@@ -101,6 +102,53 @@ class TestLosslessKeys:
         positions = [result.attributes.index(a) for a in ("a", "b", "c")]
         rows = Counter(tuple(row[p] for p in positions) for row in result.rows)
         assert rows == truth
+
+
+#: a join column holding ints beside strings that no ``<`` can order
+UNORDERED_M = [(1, "007"), (2, 7), (3, "a")]
+UNORDERED_N = [(7, 1), ("007", 2), ("a", 3)]
+#: index kinds that keep their tuples sorted
+SORTED_KINDS = ("sortedtrie", "btree")
+
+
+class TestUnorderedJoinColumn:
+    """``M(x,y) ⋈ N(y,z)`` on a ``y`` mixing ``str`` and ``int``: hash
+    structures join it (batch candidate arrays order it by type rank,
+    then value, and test membership by hashing); sorted structures
+    reject it when the plan binds it to them."""
+
+    truth = Counter([(1, "007", 2), (2, 7, 1), (3, "a", 3)])
+
+    def joined(self, **options):
+        source = {"M": Relation("M", ("x", "y"), UNORDERED_M),
+                  "N": Relation("N", ("y", "z"), UNORDERED_N)}
+        result = join("M(x,y), N(y,z)", source, materialize=True, **options)
+        positions = [result.attributes.index(a) for a in ("x", "y", "z")]
+        return Counter(tuple((type(row[p]), row[p]) for p in positions)
+                       for row in result.rows)
+
+    def typed_truth(self):
+        return Counter({tuple((type(v), v) for v in row): count
+                        for row, count in self.truth.items()})
+
+    @pytest.mark.parametrize("options", [
+        {"algorithm": "binary"},
+        {"algorithm": "hashtrie"},
+        *({"algorithm": "generic", "engine": engine, "index": index}
+          for engine in ("tuple", "batch")
+          for index in prefix_capable_indexes() if index not in SORTED_KINDS),
+    ], ids=repr)
+    def test_hash_structures_answer_three_rows(self, options):
+        assert self.joined(**options) == self.typed_truth()
+
+    @pytest.mark.parametrize("options", [
+        {"algorithm": "leapfrog"},
+        *({"algorithm": "generic", "engine": engine, "index": index}
+          for engine in ("tuple", "batch") for index in SORTED_KINDS),
+    ], ids=repr)
+    def test_sorted_structures_reject_the_column(self, options):
+        with pytest.raises(SchemaError, match="no common order"):
+            self.joined(**options)
 
 
 @settings(max_examples=20, deadline=None)
